@@ -21,33 +21,9 @@
 //!   tracing overhead. It has no entry in the committed baseline, so
 //!   `--check` never gates on it; compare it against `storm` in the
 //!   same run instead.
-//! * `storm_par1` / `storm_par2` / `storm_par4` / `storm_par8` — the
-//!   *parallel-eligible* storm: the same paper machine and 0.1 ms
-//!   migration storm, but fault-free, checker off, vsnoop-base — the
-//!   profile the batched data-oriented engine accepts (faults and the
-//!   checker are inherently serial, so the checkered `storm` bin cannot
-//!   parallelize). The four bins differ only in
-//!   `Simulator::set_engine_workers`; `storm_par1` pins the serial path
-//!   as the in-run denominator of the reported `storm_par_speedup`
-//!   (storm_par8 vs storm_par1 steps/sec). Worker scaling is bounded by
-//!   physical cores: the committed baseline was captured on a 1-CPU
-//!   container (`nproc` = 1), where all four bins necessarily time the
-//!   same — the ≥3x speedup target at 8 workers is only observable on a
-//!   multi-core host (16-core reference), so `--check` gates each bin
-//!   against its own same-host baseline rather than against the ratio.
-//!   Like the campaign pair, the four bins run at their own pinned
-//!   window length (`PERF_PAR_ROUNDS`, default 20 000, independent of
-//!   `--rounds`): the scoped worker pool is spawned per window, so a
-//!   short `PERF_ROUNDS` smoke amortizes that fixed cost over too few
-//!   rounds and reads systematically low against the committed
-//!   full-length baseline.
-//! * `storm_metrics` — `storm_par8` with the engine-phase metrics gate
-//!   (`VSNOOP_METRICS`) forced on, so the per-phase histograms
-//!   (update-procs / update-caches / update-net, shard imbalance) are
-//!   recorded while the batched engine runs. Like `storm_traced` it has
-//!   no committed baseline entry, so `--check` never gates on it —
-//!   compare it against `storm_par8` in the same run to bound the
-//!   instrumentation cost.
+//! * `storm_clean` — the storm machine and 0.1 ms migration storm, but
+//!   fault-free, checker off, vsnoop-base: the filtered path under
+//!   migration, without fault handling or checking.
 //! * `pinned` — fault-free vsnoop-base with pinned vCPUs: the filtered
 //!   fast path (small destination sets).
 //! * `broadcast` — fault-free TokenBroadcast: every transaction snoops
@@ -185,9 +161,8 @@ fn parse_cli() -> Result<Cli, String> {
                     "usage: perf [--out FILE] [--check FILE] [--tolerance PCT] [--rounds N]\n\
                      \u{20}           [--warmup N] [--reps N] [--only NAME]... [--list] \
                      [--trace-dir DIR]\n\
-                     bins: storm, storm_unchecked, storm_traced, storm_par1, storm_par2, \
-                     storm_par4, storm_par8, storm_metrics, pinned, broadcast, campaign, \
-                     campaign_serial, service, service_conns"
+                     bins: storm, storm_unchecked, storm_traced, storm_clean, pinned, \
+                     broadcast, campaign, campaign_serial, service, service_conns"
                         .into(),
                 );
             }
@@ -304,13 +279,6 @@ struct BinSpec {
     /// Force the observability layer on for this bin (trace files under
     /// `target/perf-trace/`), so its throughput measures the hooks' cost.
     traced: bool,
-    /// Worker count for the batched parallel engine
-    /// ([`Simulator::set_engine_workers`]); 1 pins the serial path.
-    workers: usize,
-    /// Force the engine-phase metrics gate on for this bin
-    /// ([`vsnoop::obs::metrics::set_enabled`]), so the per-phase
-    /// histograms record while the batched engine runs.
-    metrics: bool,
     drive: Drive,
 }
 
@@ -324,8 +292,6 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: true,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -337,8 +303,6 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -350,73 +314,17 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: true,
             traced: true,
-            workers: 1,
-            metrics: false,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
             },
         },
         BinSpec {
-            name: "storm_par1",
+            name: "storm_clean",
             policy: FilterPolicy::VsnoopBase,
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
-            drive: Drive::Migration {
-                period_cycles: storm_period,
-                seed: 0x51A9,
-            },
-        },
-        BinSpec {
-            name: "storm_par2",
-            policy: FilterPolicy::VsnoopBase,
-            faults: false,
-            checker: false,
-            traced: false,
-            workers: 2,
-            metrics: false,
-            drive: Drive::Migration {
-                period_cycles: storm_period,
-                seed: 0x51A9,
-            },
-        },
-        BinSpec {
-            name: "storm_par4",
-            policy: FilterPolicy::VsnoopBase,
-            faults: false,
-            checker: false,
-            traced: false,
-            workers: 4,
-            metrics: false,
-            drive: Drive::Migration {
-                period_cycles: storm_period,
-                seed: 0x51A9,
-            },
-        },
-        BinSpec {
-            name: "storm_par8",
-            policy: FilterPolicy::VsnoopBase,
-            faults: false,
-            checker: false,
-            traced: false,
-            workers: 8,
-            metrics: false,
-            drive: Drive::Migration {
-                period_cycles: storm_period,
-                seed: 0x51A9,
-            },
-        },
-        BinSpec {
-            name: "storm_metrics",
-            policy: FilterPolicy::VsnoopBase,
-            faults: false,
-            checker: false,
-            traced: false,
-            workers: 8,
-            metrics: true,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -428,8 +336,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Plain,
         },
         BinSpec {
@@ -438,8 +344,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Plain,
         },
         BinSpec {
@@ -448,8 +352,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Campaign { reuse: true },
         },
         BinSpec {
@@ -458,8 +360,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Campaign { reuse: false },
         },
         BinSpec {
@@ -468,8 +368,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Service { conns: false },
         },
         BinSpec {
@@ -478,8 +376,6 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
-            workers: 1,
-            metrics: false,
             drive: Drive::Service { conns: true },
         },
     ]
@@ -680,18 +576,6 @@ fn run_bin(spec: &BinSpec, cli_rounds: u64, warmup: u64, reps: u32, seed: u64) -
     if let Drive::Service { conns } = spec.drive {
         return run_service_bin(reps, conns);
     }
-    // The parallel-engine bins spawn their scoped worker pool once per
-    // timed window, so steps/sec only compares against a baseline taken
-    // at the same window length — pin it (`PERF_PAR_ROUNDS`, default
-    // 20 000), the same convention as the campaign pair, so a short
-    // `PERF_ROUNDS` smoke still gates them at full scale.
-    // `storm_metrics` shares the pinned window so it compares against
-    // `storm_par8` at equal scale.
-    let cli_rounds = if spec.name.starts_with("storm_par") || spec.name == "storm_metrics" {
-        env_u64("PERF_PAR_ROUNDS", 20_000)
-    } else {
-        cli_rounds
-    };
     // `storm_traced`: force the observability layer on for the duration
     // of this bin only, restoring the prior state afterwards so later
     // bins keep measuring the untraced hot path.
@@ -709,27 +593,9 @@ fn run_bin(spec: &BinSpec, cli_rounds: u64, warmup: u64, reps: u32, seed: u64) -
     } else {
         false
     });
-    // `storm_metrics`: force the engine-phase metrics gate on for this
-    // bin only, restoring the disabled (zero-cost) state afterwards so
-    // the other bins keep measuring the ungated hot path.
-    struct MetricsGuard(bool);
-    impl Drop for MetricsGuard {
-        fn drop(&mut self) {
-            if self.0 {
-                vsnoop::obs::metrics::set_enabled(false);
-            }
-        }
-    }
-    let _metrics = MetricsGuard(if spec.metrics && !vsnoop::obs::metrics::enabled() {
-        vsnoop::obs::metrics::set_enabled(true);
-        true
-    } else {
-        false
-    });
     let rss_before = peak_rss_bytes();
     let cfg = SystemConfig::paper_default();
     let mut sim = Simulator::new(cfg, spec.policy, ContentPolicy::Broadcast);
-    sim.set_engine_workers(spec.workers);
     if spec.faults {
         sim.set_fault_plan(FaultPlan::all(seed));
     }
@@ -830,16 +696,6 @@ fn campaign_speedup(results: &[BinResult]) -> Option<f64> {
     (fast.best_elapsed_s > 0.0).then(|| serial.best_elapsed_s / fast.best_elapsed_s)
 }
 
-/// The `storm_par8` / `storm_par1` steps/sec ratio, when both ran: the
-/// batched parallel engine's measured scaling on *this* host (1.0-ish
-/// on a single-core container; the ≥3x target applies to the 16-core
-/// reference host).
-fn storm_par_speedup(results: &[BinResult]) -> Option<f64> {
-    let get = |n: &str| results.iter().find(|r| r.name == n);
-    let (par, serial) = (get("storm_par8")?, get("storm_par1")?);
-    (serial.steps_per_sec > 0.0).then(|| par.steps_per_sec / serial.steps_per_sec)
-}
-
 fn report_json(results: &[BinResult], rounds: u64, reps: u32) -> Value {
     let mut fields = vec![
         ("schema", Value::Str(SCHEMA.into())),
@@ -853,9 +709,6 @@ fn report_json(results: &[BinResult], rounds: u64, reps: u32) -> Value {
     ];
     if let Some(speedup) = campaign_speedup(results) {
         fields.push(("campaign_speedup", Value::Float(speedup)));
-    }
-    if let Some(speedup) = storm_par_speedup(results) {
-        fields.push(("storm_par_speedup", Value::Float(speedup)));
     }
     Value::obj(fields)
 }
@@ -957,8 +810,6 @@ fn main() -> ExitCode {
             let faults = spec.faults;
             let checker = spec.checker;
             let traced = spec.traced;
-            let workers = spec.workers;
-            let metrics = spec.metrics;
             let drive = spec.drive;
             let (rounds, warmup, reps) = (cli.rounds, cli.warmup, cli.reps);
             let sink = Arc::clone(&results);
@@ -969,8 +820,6 @@ fn main() -> ExitCode {
                     faults,
                     checker,
                     traced,
-                    workers,
-                    metrics,
                     drive,
                 };
                 let r = run_bin(&spec, rounds, warmup, reps, seed);
@@ -1019,9 +868,6 @@ fn main() -> ExitCode {
     println!("peak RSS: {} MiB", peak_rss_bytes() / (1024 * 1024));
     if let Some(speedup) = campaign_speedup(&results) {
         println!("campaign speedup (warm reuse + sharding vs serial): {speedup:.2}x");
-    }
-    if let Some(speedup) = storm_par_speedup(&results) {
-        println!("storm_par speedup (batched engine, 8 workers vs serial): {speedup:.2}x");
     }
     if let Some(out) = &cli.out {
         if let Some(dir) = out.parent() {

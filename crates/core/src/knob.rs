@@ -1,17 +1,13 @@
 //! Shared parsing for `VSNOOP_*` environment knobs.
 //!
 //! Every runtime tunable read from the environment (`VSNOOP_SHARD_WORKERS`,
-//! `VSNOOP_FLIGHT_CAP`, `VSNOOP_WARM_CAP`, `VSNOOP_ENGINE_WORKERS`) is a
+//! `VSNOOP_FLIGHT_CAP`, `VSNOOP_WARM_CAP`, `VSNOOP_HEARTBEAT_MS`) is a
 //! positive integer. These used to be parsed ad hoc with `.parse().ok()`,
 //! which silently fell back to the default on a malformed value — setting
 //! `VSNOOP_SHARD_WORKERS=abc` (or `=0`) looked accepted but did nothing.
 //! [`env_positive_usize`] keeps the fall-back-to-default behaviour (a bad
 //! knob must never abort a long campaign) but warns **once per knob** on
 //! stderr so the operator learns the value was ignored.
-//!
-//! Worker-count knobs (`VSNOOP_ENGINE_WORKERS`) additionally accept the
-//! literal `auto`, resolving to the host's available parallelism via
-//! [`env_worker_count`].
 
 use std::collections::HashSet;
 use std::sync::{Mutex, OnceLock};
@@ -67,30 +63,6 @@ pub fn parse_positive_u64(name: &str, raw: &str) -> Option<u64> {
             None
         }
     }
-}
-
-/// The worker count "auto" resolves to: the host's available
-/// parallelism, floored at 1 when it cannot be determined (restricted
-/// sandboxes).
-pub fn auto_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Reads the environment knob `name` as a worker count: the literal
-/// `auto` (case-insensitive) resolves to [`auto_workers`], anything
-/// else parses as a positive integer via [`env_positive_usize`]
-/// semantics (malformed values warn once and fall back to `None`).
-pub fn env_worker_count(name: &str) -> Option<usize> {
-    parse_worker_count(name, &std::env::var(name).ok()?)
-}
-
-/// The parsing half of [`env_worker_count`], split out so unit tests
-/// can exercise values without mutating the process environment.
-pub fn parse_worker_count(name: &str, raw: &str) -> Option<usize> {
-    if raw.trim().eq_ignore_ascii_case("auto") {
-        return Some(auto_workers());
-    }
-    parse_positive(name, raw)
 }
 
 /// Prints the ignored-knob warning, once per knob name per process.
@@ -154,31 +126,5 @@ mod tests {
     #[test]
     fn unset_knob_is_silent_none() {
         assert_eq!(env_positive_usize("VSNOOP_TEST_DEFINITELY_UNSET"), None);
-        assert_eq!(env_worker_count("VSNOOP_TEST_DEFINITELY_UNSET"), None);
-    }
-
-    #[test]
-    fn worker_count_auto_resolves_to_available_parallelism() {
-        let auto = auto_workers();
-        assert!(auto >= 1);
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", "auto"),
-            Some(auto)
-        );
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", " AUTO "),
-            Some(auto)
-        );
-        assert_eq!(
-            parse_worker_count("VSNOOP_TEST_WORKERS", "Auto"),
-            Some(auto)
-        );
-    }
-
-    #[test]
-    fn worker_count_numbers_and_rejects_behave_like_positive_ints() {
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "4"), Some(4));
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "0"), None);
-        assert_eq!(parse_worker_count("VSNOOP_TEST_WORKERS_N", "autoo"), None);
     }
 }

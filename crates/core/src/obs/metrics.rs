@@ -4,13 +4,12 @@
 //! Every stage of the serving stack records into process-global statics
 //! defined here — the service request lifecycle (admission wait, WAL
 //! group-commit fsync, per-tenant queue wait, job run time, end-to-end
-//! request latency), the reactor loop (poll/epoll wait, events per
-//! wake, dispatch and outbox-flush time, connection gauge), and the
-//! batched parallel engine's three phases. The record path never
-//! allocates and never locks: a [`Counter`] or [`Histogram`] is a fixed
-//! array of cache-line-padded atomics striped by thread, so concurrent
-//! recorders land on different lines and a snapshot is just a relaxed
-//! sum over the stripes.
+//! request latency) and the reactor loop (poll/epoll wait, events per
+//! wake, dispatch and outbox-flush time, connection gauge). The record
+//! path never allocates and never locks: a [`Counter`] or [`Histogram`]
+//! is a fixed array of cache-line-padded atomics striped by thread, so
+//! concurrent recorders land on different lines and a snapshot is just
+//! a relaxed sum over the stripes.
 //!
 //! Latencies are recorded in **microseconds** into 65 log2 buckets:
 //! bucket 0 holds the value 0 and bucket `i` holds `[2^(i-1), 2^i - 1]`,
@@ -27,17 +26,13 @@
 //!   `<trace>/metrics.prom` by [`write_prom`] on each heartbeat);
 //! * periodic `service_metrics` records in `telemetry.jsonl`.
 //!
-//! Service- and reactor-stage recording is **always on**: each record
-//! costs a thread-local read plus a few uncontended relaxed atomic
-//! adds, noise against the millisecond-scale operations it measures
-//! (the `service`/`service_conns` perf bins gate that claim). The
-//! engine-phase histograms alone are gated on [`enabled`] —
-//! `VSNOOP_METRICS=1`, [`set_enabled`], or an active trace directory —
-//! because the batched simulation loop is the workspace's zero-cost
-//! hot path (the `storm_metrics` perf bin watches the enabled cost).
+//! Recording is **always on**: each record costs a thread-local read
+//! plus a few uncontended relaxed atomic adds, noise against the
+//! millisecond-scale operations it measures (the `service`/
+//! `service_conns` perf bins gate that claim).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::runner::json::Value;
@@ -46,10 +41,9 @@ use crate::runner::json::Value;
 /// for `[2^(i-1), 2^i - 1]` — every `u64` has exactly one bucket.
 pub const BUCKETS: usize = 65;
 
-/// Stripe count for counters and histograms. Eight matches the engine
-/// shard count and the service worker scale; stripes are picked by a
-/// per-thread round-robin token so steady-state recorders never share
-/// a cache line.
+/// Stripe count for counters and histograms. Eight matches the service
+/// worker scale; stripes are picked by a per-thread round-robin token
+/// so steady-state recorders never share a cache line.
 const STRIPES: usize = 8;
 
 /// The log2 bucket index of `v`: 0 for 0, else `64 - leading_zeros`.
@@ -344,17 +338,6 @@ pub static REACTOR_FLUSH_US: Histogram = Histogram::new();
 /// Open connections (gauge, reactor-owned).
 pub static REACTOR_CONNECTIONS: Gauge = Gauge::new();
 
-/// Batched engine update-procs phase per batch (µs; gated on
-/// [`enabled`]).
-pub static ENGINE_UPDATE_PROCS_US: Histogram = Histogram::new();
-/// Batched engine update-caches phase per batch (µs; gated).
-pub static ENGINE_UPDATE_CACHES_US: Histogram = Histogram::new();
-/// Batched engine update-net replay per batch (µs; gated).
-pub static ENGINE_UPDATE_NET_US: Histogram = Histogram::new();
-/// Worker completion spread per batch — last worker's reply minus
-/// first worker's reply, the measured shard imbalance (µs; gated).
-pub static ENGINE_SHARD_IMBALANCE_US: Histogram = Histogram::new();
-
 /// The per-tenant histogram families (request latency and queue wait).
 /// First use of a tenant name allocates its slot once under the lock;
 /// the recording itself stays on the lock-free histogram. The vec is
@@ -406,40 +389,6 @@ pub fn record_queue_wait(tenant: &str, us: u64) {
 }
 
 // ---------------------------------------------------------------------
-// The engine-phase gate.
-// ---------------------------------------------------------------------
-
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
-
-/// Whether engine-phase metrics record. True when explicitly enabled
-/// ([`set_enabled`] / `VSNOOP_METRICS=1`) **or** the observability
-/// layer is on. Note the engine itself refuses the batched path while
-/// tracing is on, so explicit enablement is how the batched phases are
-/// actually observed (the `storm_metrics` perf bin). Service and
-/// reactor recording ignores this gate entirely.
-#[inline]
-pub fn enabled() -> bool {
-    METRICS_ON.load(Ordering::Relaxed) || super::enabled()
-}
-
-/// Turns the engine-phase gate on or off (does not touch the trace
-/// directory and never affects engine eligibility).
-pub fn set_enabled(on: bool) {
-    METRICS_ON.store(on, Ordering::SeqCst);
-}
-
-/// Reads `VSNOOP_METRICS` (`1`/`true` enables the engine-phase gate).
-/// Called from [`crate::obs::init_from_env`].
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("VSNOOP_METRICS") {
-        let v = v.trim();
-        if v == "1" || v.eq_ignore_ascii_case("true") {
-            set_enabled(true);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Exposition: JSON snapshot, Prometheus text, heartbeat record fields.
 // ---------------------------------------------------------------------
 
@@ -468,8 +417,8 @@ fn hist_value_raw(s: &HistSnapshot) -> Value {
 }
 
 /// Every named µs-histogram in the registry, for the exposition
-/// formats (engine histograms included — empty unless gated on).
-fn us_histograms() -> [(&'static str, &'static Histogram); 11] {
+/// formats.
+fn us_histograms() -> [(&'static str, &'static Histogram); 8] {
     [
         ("service_request_us", &SERVICE_REQUEST_US),
         ("service_admission_wait_us", &SERVICE_ADMISSION_WAIT_US),
@@ -479,9 +428,6 @@ fn us_histograms() -> [(&'static str, &'static Histogram); 11] {
         ("reactor_poll_wait_us", &REACTOR_POLL_WAIT_US),
         ("reactor_dispatch_us", &REACTOR_DISPATCH_US),
         ("reactor_flush_us", &REACTOR_FLUSH_US),
-        ("engine_update_procs_us", &ENGINE_UPDATE_PROCS_US),
-        ("engine_update_caches_us", &ENGINE_UPDATE_CACHES_US),
-        ("engine_update_net_us", &ENGINE_UPDATE_NET_US),
     ]
 }
 
@@ -507,10 +453,6 @@ pub fn snapshot_value() -> Value {
         .iter()
         .map(|(name, h)| (name.to_string(), hist_value_ms(&h.snapshot())))
         .collect();
-    hists.push((
-        "engine_shard_imbalance_us".to_string(),
-        hist_value_ms(&ENGINE_SHARD_IMBALANCE_US.snapshot()),
-    ));
     hists.push((
         "reactor_events_per_wake".to_string(),
         hist_value_raw(&REACTOR_EVENTS_PER_WAKE.snapshot()),
@@ -578,12 +520,6 @@ pub fn prometheus() -> String {
     for (name, h) in us_histograms() {
         hist(&mut out, name, "", &h.snapshot());
     }
-    hist(
-        &mut out,
-        "engine_shard_imbalance_us",
-        "",
-        &ENGINE_SHARD_IMBALANCE_US.snapshot(),
-    );
     hist(
         &mut out,
         "reactor_events_per_wake",

@@ -123,7 +123,6 @@ pub fn trace_dir() -> Option<PathBuf> {
 pub fn init_from_env() {
     mono_ms(); // anchor the monotonic clock at startup
     if enabled() {
-        metrics::init_from_env();
         return;
     }
     if let Ok(dir) = std::env::var("VSNOOP_TRACE") {
@@ -132,7 +131,6 @@ pub fn init_from_env() {
             set_trace_dir(Some(PathBuf::from(dir)));
         }
     }
-    metrics::init_from_env();
 }
 
 /// Milliseconds elapsed since this clock's first use (one [`Instant`]

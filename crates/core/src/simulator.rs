@@ -47,12 +47,6 @@ use crate::vcpu_map::{VcpuMap, VcpuMapFile};
 #[path = "reference_path.rs"]
 mod reference_path;
 
-/// The data-oriented parallel engine (staged phases over block-address
-/// shards; see its module docs). A child module of `simulator` so the
-/// transcription twins can reach the `Simulator` internals directly.
-#[path = "engine.rs"]
-mod engine;
-
 /// The coherence engine behind a [`Simulator`]: the optimized
 /// allocation-free [`TokenProtocol`], or the frozen pre-optimization
 /// [`ReferenceProtocol`] (selected via
@@ -236,12 +230,13 @@ pub struct Simulator {
     /// Latch so the flight recorder is dumped at most once per simulator
     /// on the first checker violation.
     flight_dumped: bool,
-    /// Per-instance worker-count override for the parallel engine; when
-    /// unset the `VSNOOP_ENGINE_WORKERS` knob (default 1) decides.
-    engine_workers: Option<usize>,
     /// Latch so a saturated traffic counter is diagnosed once.
     traffic_overflow_reported: bool,
 }
+
+/// The migration `pick` callback of [`Simulator::run_with_migration`]:
+/// migration number in, the two vCPUs to exchange out.
+type MigrationPick<'a> = dyn FnMut(u64) -> (VcpuId, VcpuId) + 'a;
 
 /// One deferred vCPU-map register update (map-sync-delay fault).
 #[derive(Clone)]
@@ -350,7 +345,6 @@ impl Simulator {
             diagnostics_total: 0,
             epochs: None,
             flight_dumped: false,
-            engine_workers: None,
             traffic_overflow_reported: false,
             cfg,
             policy,
@@ -710,29 +704,6 @@ impl Simulator {
         }
     }
 
-    /// Pins the parallel engine's worker count for this simulator,
-    /// overriding the `VSNOOP_ENGINE_WORKERS` environment knob. `1`
-    /// forces the serial path; `None` auto-picks the host's available
-    /// parallelism (same resolution as `VSNOOP_ENGINE_WORKERS=auto`);
-    /// higher counts take effect only for runs the batched engine can
-    /// execute bit-identically (see its eligibility gate) — everything
-    /// else stays serial regardless.
-    pub fn set_engine_workers(&mut self, workers: impl Into<Option<usize>>) {
-        self.engine_workers = Some(match workers.into() {
-            Some(w) => w.max(1),
-            None => crate::knob::auto_workers(),
-        });
-    }
-
-    /// Worker count in force: instance override, else the
-    /// `VSNOOP_ENGINE_WORKERS` knob (a count, or `auto` for the host's
-    /// available parallelism), else 1 (serial).
-    fn resolved_engine_workers(&self) -> usize {
-        self.engine_workers
-            .or_else(|| crate::knob::env_worker_count("VSNOOP_ENGINE_WORKERS"))
-            .unwrap_or(1)
-    }
-
     /// Surfaces a saturated network-traffic counter as a typed
     /// diagnostic (and a checker violation when the checker is on),
     /// once per simulator: every byte-derived metric is a lower bound
@@ -753,30 +724,7 @@ impl Simulator {
     /// Runs `rounds` rounds, each issuing one access per core from
     /// `workload`.
     pub fn run<W: SystemWorkload>(&mut self, workload: &mut W, rounds: u64) {
-        self.refresh_friends(workload);
-        let workers = self.resolved_engine_workers();
-        if workers > 1 && engine::eligible(self) {
-            engine::run_batched(self, workload, rounds, None, workers);
-            self.surface_traffic_overflow();
-            return;
-        }
-        for _ in 0..rounds {
-            // Deadline checkpoint for supervised campaign jobs; a plain
-            // thread-local read outside of them.
-            crate::runner::poll_current();
-            self.cycle += self.cfg.cycles_per_access;
-            self.stats.rounds += 1;
-            self.on_round_start();
-            for core in CoreId::all(self.cfg.n_cores()) {
-                let Some(vcpu) = self.hv.vcpu_on(core) else {
-                    continue;
-                };
-                let access = workload.next_access(vcpu);
-                self.step(core, access, workload.directory());
-            }
-            self.obs_round_tick();
-        }
-        self.surface_traffic_overflow();
+        self.run_rounds(workload, rounds, None);
     }
 
     /// Runs with a periodic cross-VM vCPU shuffle: every
@@ -791,34 +739,42 @@ impl Simulator {
         mut pick: impl FnMut(u64) -> (VcpuId, VcpuId),
     ) {
         assert!(period_cycles > 0, "migration period must be positive");
+        self.run_rounds(workload, rounds, Some((period_cycles, &mut pick)));
+    }
+
+    /// The round loop behind [`Simulator::run`] and
+    /// [`Simulator::run_with_migration`]; `migration` is the optional
+    /// `(period_cycles, pick)` shuffle schedule.
+    fn run_rounds<W: SystemWorkload>(
+        &mut self,
+        workload: &mut W,
+        rounds: u64,
+        mut migration: Option<(u64, &mut MigrationPick<'_>)>,
+    ) {
         self.refresh_friends(workload);
-        let workers = self.resolved_engine_workers();
-        if workers > 1 && engine::eligible(self) {
-            engine::run_batched(
-                self,
-                workload,
-                rounds,
-                Some((period_cycles, &mut pick)),
-                workers,
-            );
-            self.surface_traffic_overflow();
-            return;
-        }
-        let mut next_migration = self.cycle + period_cycles;
+        // The schedule restarts from the cycle at call entry, so `k` calls
+        // of one period each replay exactly one call of `k` periods.
+        let mut next_migration = migration
+            .as_ref()
+            .map_or(u64::MAX, |(period, _)| self.cycle + period);
         let mut migration_no = 0u64;
         for _ in 0..rounds {
+            // Deadline checkpoint for supervised campaign jobs; a plain
+            // thread-local read outside of them.
             crate::runner::poll_current();
             self.cycle += self.cfg.cycles_per_access;
             self.stats.rounds += 1;
             self.on_round_start();
             if self.cycle >= next_migration {
-                next_migration += period_cycles;
-                let (a, b) = pick(migration_no);
-                migration_no += 1;
-                if a.vm() != b.vm() {
-                    // An unplaced pick is recorded as a diagnostic inside
-                    // swap_vcpus; the storm simply continues.
-                    let _ = self.swap_vcpus(a, b);
+                if let Some((period, pick)) = migration.as_mut() {
+                    next_migration += *period;
+                    let (a, b) = pick(migration_no);
+                    migration_no += 1;
+                    if a.vm() != b.vm() {
+                        // An unplaced pick is recorded as a diagnostic
+                        // inside swap_vcpus; the storm simply continues.
+                        let _ = self.swap_vcpus(a, b);
+                    }
                 }
             }
             for core in CoreId::all(self.cfg.n_cores()) {
@@ -1824,17 +1780,6 @@ mod tests {
             },
         );
         (sim, wl)
-    }
-
-    #[test]
-    fn engine_workers_none_auto_picks_available_parallelism() {
-        let (mut sim, _) = small_sim(FilterPolicy::TokenBroadcast);
-        sim.set_engine_workers(None);
-        assert_eq!(sim.resolved_engine_workers(), crate::knob::auto_workers());
-        sim.set_engine_workers(4);
-        assert_eq!(sim.resolved_engine_workers(), 4);
-        sim.set_engine_workers(0); // clamped to the serial floor
-        assert_eq!(sim.resolved_engine_workers(), 1);
     }
 
     #[test]

@@ -354,51 +354,6 @@ fn telemetry_records_carry_nondecreasing_mono_ms() {
     }
 }
 
-/// Satellite: the engine-phase metrics gate is zero-cost when off. A
-/// parallel-eligible batched run with the gate disabled (the default)
-/// must not touch the engine-phase histograms at all; the same run
-/// with the gate on records every phase. Held under [`OBS_LOCK`]
-/// because the gate — like the trace flag — is process-global.
-#[test]
-fn engine_phase_metrics_record_only_when_the_gate_is_on() {
-    use vsnoop::obs::metrics;
-
-    let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert!(!vsnoop::obs::enabled(), "tests start with tracing off");
-    assert!(!metrics::enabled(), "tests start with the metrics gate off");
-
-    let run = || {
-        let cfg = SystemConfig::small_test();
-        let mut sim = Simulator::new(cfg, FilterPolicy::VsnoopBase, ContentPolicy::Broadcast);
-        sim.set_engine_workers(2);
-        let mut wl = workload(&cfg, 0x0B5E);
-        sim.run(&mut wl, 400);
-        assert!(sim.stats().l2_misses > 0, "the run must do real work");
-    };
-    let counts = || {
-        (
-            metrics::ENGINE_UPDATE_PROCS_US.snapshot().count,
-            metrics::ENGINE_UPDATE_CACHES_US.snapshot().count,
-            metrics::ENGINE_UPDATE_NET_US.snapshot().count,
-            metrics::ENGINE_SHARD_IMBALANCE_US.snapshot().count,
-        )
-    };
-
-    let before = counts();
-    run();
-    assert_eq!(counts(), before, "a disabled gate must record nothing");
-
-    metrics::set_enabled(true);
-    let before = counts();
-    run();
-    let after = counts();
-    metrics::set_enabled(false);
-    assert!(
-        after.0 > before.0 && after.1 > before.1 && after.2 > before.2 && after.3 > before.3,
-        "an enabled gate must record every phase: {before:?} -> {after:?}"
-    );
-}
-
 /// Runs a simulator with epoch recording and checks that the sum of the
 /// per-epoch deltas reproduces the final aggregate for **every**
 /// counter field — the conservation property that catches a counter

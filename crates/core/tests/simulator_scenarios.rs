@@ -1,9 +1,12 @@
 //! Scenario tests of the simulator: configurations and policy corners the
 //! experiment drivers don't exercise directly.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use sim_mem::BlockAddr;
+use sim_net::TrafficStats;
 use sim_vm::{VcpuId, VmId};
-use vsnoop::{ContentPolicy, FilterPolicy, Simulator, SystemConfig};
+use vsnoop::{ContentPolicy, FilterPolicy, RemovalEvent, SimStats, Simulator, SystemConfig};
 use workloads::{profile, Workload, WorkloadConfig};
 
 fn workload(app: &str, cfg: &SystemConfig, sharing: bool) -> Workload {
@@ -172,4 +175,100 @@ fn larger_meshes_validate_and_filter_proportionally() {
     // 4/32 = 12.5% of the baseline's 32 lookups.
     let norm = s.snoops as f64 / (s.l2_misses * 32) as f64;
     assert!((norm - 0.125).abs() < 1e-9);
+}
+
+/// A seeded cross-VM vCPU picker that ignores the migration index, so
+/// its sequence does not depend on how a run is split into calls.
+fn cross_vm_picker(cfg: SystemConfig, seed: u64) -> impl FnMut(u64) -> (VcpuId, VcpuId) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    move |_| {
+        let vm_a = rng.gen_range(0..cfg.n_vms);
+        let vm_b = (vm_a + rng.gen_range(1..cfg.n_vms)) % cfg.n_vms;
+        let vcpu = |vm: usize, rng: &mut SmallRng| {
+            VcpuId::new(VmId::new(vm as u16), rng.gen_range(0..cfg.vcpus_per_vm))
+        };
+        (vcpu(vm_a, &mut rng), vcpu(vm_b, &mut rng))
+    }
+}
+
+/// Everything a run can change that the paper's metrics read: the
+/// statistics, the network traffic, the removal log, every cached line
+/// (`arch_state`), the L2 residence order and the per-VM residence
+/// counters.
+#[derive(PartialEq, Debug)]
+struct Observables {
+    stats: SimStats,
+    traffic: TrafficStats,
+    removals: Vec<RemovalEvent>,
+    arch_state: String,
+    l2_lines: Vec<Vec<BlockAddr>>,
+    residence: Vec<u64>,
+    cycle: u64,
+}
+
+fn observables(sim: &Simulator) -> Observables {
+    let cfg = sim.config();
+    let cores = 0..cfg.n_cores();
+    Observables {
+        stats: sim.stats().clone(),
+        traffic: *sim.traffic(),
+        removals: sim.removal_log().to_vec(),
+        arch_state: sim.arch_state(),
+        l2_lines: cores.clone().map(|c| sim.debug_l2_lines(c)).collect(),
+        residence: cores
+            .flat_map(|c| {
+                (0..cfg.n_vms).map(move |vm| sim.debug_residence(c, VmId::new(vm as u16)))
+            })
+            .collect(),
+        cycle: sim.cycle(),
+    }
+}
+
+#[test]
+fn run_matches_migration_run_whose_period_outlasts_it() {
+    let cfg = SystemConfig::paper_default();
+    let start = || {
+        let mut sim = Simulator::new(cfg, FilterPolicy::Counter, ContentPolicy::Broadcast);
+        let mut wl = workload("ocean", &cfg, false);
+        // A short storm first (a swap every 1 000 rounds), so the compared
+        // window starts from shuffled placements and shrinking maps.
+        let storm_period = 1_000 * cfg.cycles_per_access;
+        sim.run_with_migration(&mut wl, 4_000, storm_period, cross_vm_picker(cfg, 7));
+        assert!(sim.stats().map_adds > 0, "the warm-up storm must migrate");
+        (sim, wl)
+    };
+    let rounds = 3_000;
+    let (mut plain, mut wl_plain) = start();
+    plain.run(&mut wl_plain, rounds);
+    let (mut never, mut wl_never) = start();
+    let outlasting = rounds * cfg.cycles_per_access + 1;
+    never.run_with_migration(&mut wl_never, rounds, outlasting, |_| {
+        panic!("no migration is due within the run")
+    });
+    assert_eq!(observables(&plain), observables(&never));
+}
+
+#[test]
+fn one_period_calls_replay_one_long_migration_run() {
+    let cfg = SystemConfig::paper_default();
+    let period = cfg.cycles_per_ms / 10;
+    assert_eq!(period % cfg.cycles_per_access, 0, "period is whole rounds");
+    let per_call = period / cfg.cycles_per_access;
+    let k = 8;
+    let fresh = || {
+        let sim = Simulator::new(cfg, FilterPolicy::Counter, ContentPolicy::Broadcast);
+        (sim, workload("ocean", &cfg, false))
+    };
+
+    let (mut long, mut wl_long) = fresh();
+    long.run_with_migration(&mut wl_long, k * per_call, period, cross_vm_picker(cfg, 11));
+
+    let (mut split, mut wl_split) = fresh();
+    let mut pick = cross_vm_picker(cfg, 11);
+    for _ in 0..k {
+        split.run_with_migration(&mut wl_split, per_call, period, &mut pick);
+    }
+
+    assert!(long.stats().map_adds > 0, "the storm must migrate");
+    assert_eq!(observables(&long), observables(&split));
 }

@@ -106,23 +106,20 @@ impl CacheStats {
     }
 }
 
-/// One cache set in the data-oriented layout: its resident lines plus a
-/// **per-set** LRU clock.
+/// One cache set: its resident lines plus a **per-set** LRU clock.
 ///
-/// The clock used to be cache-global; moving it into the set is what lets
-/// the parallel engine hand disjoint groups of sets to different worker
-/// shards with no shared mutable state. Replacement is unchanged bit for
-/// bit: the LRU victim is the minimum `last_use` *within one set*, and a
-/// per-set clock stamps the set's touches with strictly increasing values
-/// in exactly the order the global clock did.
+/// A per-set clock picks the same victims as one cache-global clock: the
+/// LRU victim is the minimum `last_use` *within one set*, and a per-set
+/// clock stamps the set's touches with strictly increasing values in
+/// exactly the order a global clock would.
 #[derive(Clone, Debug, Default)]
 pub struct CacheSet {
     lines: Vec<CacheLine>,
     clock: u64,
 }
 
-/// What [`CacheSet::insert_line`] did, so the caller (full cache or
-/// shard view) can adjust its own residence counters and statistics.
+/// What [`CacheSet::insert_line`] did, so the owning [`Cache`] can adjust
+/// its residence counters and statistics.
 pub(crate) enum InsertOutcome {
     /// The block was already present; its state/tag were replaced in
     /// place (carries the replaced line's old tag).
@@ -200,8 +197,7 @@ impl CacheSet {
 /// The cache tracks, for every VM, how many valid lines tagged with that VM
 /// it currently holds (the paper's per-VM cache residence counters).
 ///
-/// Storage is a struct-of-arrays over [`CacheSet`]s; disjoint groups of
-/// sets can be handed to engine worker shards via [`Cache::shards`].
+/// Storage is one [`CacheSet`] per set index, each with its own LRU clock.
 ///
 /// # Examples
 ///
@@ -344,63 +340,6 @@ impl Cache {
         self.sets.iter().flat_map(|s| s.lines.iter())
     }
 
-    /// Partitions the cache into `n_shards` disjoint mutable views, where
-    /// shard `k` owns every set with `set_index % n_shards == k` (blocks
-    /// select sets by their low bits, so a block's shard is
-    /// `block % n_shards` in **every** cache of the machine — the
-    /// property the parallel engine's block-sharding relies on).
-    ///
-    /// Residence and hit/miss accounting inside a shard accumulates into
-    /// shard-local deltas; fold them back with [`Cache::apply_delta`]
-    /// (in fixed shard order) once the borrows end.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_shards` is a power of two no larger than the set
-    /// count.
-    pub fn shards(&mut self, n_shards: usize) -> Vec<CacheShard<'_>> {
-        assert!(
-            n_shards.is_power_of_two() && n_shards as u64 <= self.geometry.sets(),
-            "shard count must be a power of two <= set count"
-        );
-        let geometry = self.geometry;
-        let n_vms = self.residence.len();
-        let mut shards: Vec<CacheShard<'_>> = (0..n_shards)
-            .map(|_| CacheShard {
-                geometry,
-                n_shards,
-                sets: Vec::with_capacity(geometry.sets() as usize / n_shards),
-                delta: CacheDelta {
-                    residence: vec![0; n_vms],
-                    host_residence: 0,
-                    stats: CacheStats::default(),
-                },
-            })
-            .collect();
-        for (idx, set) in self.sets.iter_mut().enumerate() {
-            shards[idx & (n_shards - 1)].sets.push(set);
-        }
-        shards
-    }
-
-    /// Folds a shard's accumulated residence/statistics delta back into
-    /// the cache (the set contents were mutated in place through the
-    /// shard's borrows).
-    pub fn apply_delta(&mut self, delta: &CacheDelta) {
-        for (r, d) in self.residence.iter_mut().zip(&delta.residence) {
-            *r = r
-                .checked_add_signed(*d)
-                .expect("residence counter underflow/overflow in shard merge");
-        }
-        self.host_residence = self
-            .host_residence
-            .checked_add_signed(delta.host_residence)
-            .expect("host residence underflow/overflow in shard merge");
-        self.stats.accesses += delta.stats.accesses;
-        self.stats.hits += delta.stats.hits;
-        self.stats.evictions += delta.stats.evictions;
-    }
-
     fn inc_residence(&mut self, tag: LineTag) {
         match tag {
             LineTag::Vm(vm) => self.residence[vm.index()] += 1,
@@ -418,121 +357,6 @@ impl Cache {
                 debug_assert!(self.host_residence > 0, "host residence underflow");
                 self.host_residence -= 1;
             }
-        }
-    }
-}
-
-/// A shard's signed residence/statistics delta, produced by
-/// [`CacheShard::into_delta`] and folded back with [`Cache::apply_delta`].
-#[derive(Clone, Debug)]
-pub struct CacheDelta {
-    residence: Vec<i64>,
-    host_residence: i64,
-    stats: CacheStats,
-}
-
-/// One engine shard's mutable view of a [`Cache`]: the sets it owns
-/// (interleaved by low set-index bits) plus shard-local accounting.
-///
-/// The view exposes the same `access`/`probe`/`probe_mut`/`insert`/
-/// `remove` operations as [`Cache`], routed through the **same**
-/// [`CacheSet`] primitives, so a transaction executed against a shard
-/// mutates the set contents bit-identically to the serial path; only the
-/// residence/hit/eviction counters are deferred to the merge.
-#[derive(Debug)]
-pub struct CacheShard<'a> {
-    geometry: CacheGeometry,
-    n_shards: usize,
-    /// The owned sets, in increasing global set index; the local index of
-    /// global set `s` is `s / n_shards`.
-    sets: Vec<&'a mut CacheSet>,
-    delta: CacheDelta,
-}
-
-impl CacheShard<'_> {
-    /// Local index of the set holding `block`: the owned sets are in
-    /// increasing global index `k, k + n, k + 2n, ...`, so global set `s`
-    /// lives at local position `s / n_shards`. (A block outside this
-    /// shard would alias another set's slot — the engine routes by
-    /// `block % n_shards`, which equals `set % n_shards`, to prevent
-    /// that by construction.)
-    fn set_of(&self, block: BlockAddr) -> usize {
-        let global = self.geometry.set_of(block);
-        global / self.n_shards
-    }
-
-    /// Shard-local [`Cache::access`].
-    pub fn access(&mut self, block: BlockAddr) -> bool {
-        self.delta.stats.accesses += 1;
-        let set = self.set_of(block);
-        if self.sets[set].touch(block) {
-            self.delta.stats.hits += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Shard-local [`Cache::probe`].
-    pub fn probe(&self, block: BlockAddr) -> Option<&CacheLine> {
-        self.sets[self.set_of(block)].find(block)
-    }
-
-    /// Shard-local [`Cache::probe_mut`].
-    pub fn probe_mut(&mut self, block: BlockAddr) -> Option<&mut CacheLine> {
-        let set = self.set_of(block);
-        self.sets[set].find_mut(block)
-    }
-
-    /// Shard-local [`Cache::insert`].
-    pub fn insert(&mut self, line: CacheLine) -> Option<CacheLine> {
-        let set_idx = self.set_of(line.block);
-        let tag = line.tag;
-        let ways = self.geometry.ways();
-        match self.sets[set_idx].insert_line(line, ways) {
-            InsertOutcome::Replaced(old_tag) => {
-                self.dec_residence(old_tag);
-                self.inc_residence(tag);
-                None
-            }
-            InsertOutcome::Pushed => {
-                self.inc_residence(tag);
-                None
-            }
-            InsertOutcome::Evicted(victim) => {
-                self.inc_residence(tag);
-                self.dec_residence(victim.tag);
-                self.delta.stats.evictions += 1;
-                Some(victim)
-            }
-        }
-    }
-
-    /// Shard-local [`Cache::remove`].
-    pub fn remove(&mut self, block: BlockAddr) -> Option<CacheLine> {
-        let set = self.set_of(block);
-        let line = self.sets[set].remove_line(block)?;
-        self.dec_residence(line.tag);
-        Some(line)
-    }
-
-    /// Consumes the shard, releasing its set borrows and returning the
-    /// accumulated counter delta for [`Cache::apply_delta`].
-    pub fn into_delta(self) -> CacheDelta {
-        self.delta
-    }
-
-    fn inc_residence(&mut self, tag: LineTag) {
-        match tag {
-            LineTag::Vm(vm) => self.delta.residence[vm.index()] += 1,
-            LineTag::Host => self.delta.host_residence += 1,
-        }
-    }
-
-    fn dec_residence(&mut self, tag: LineTag) {
-        match tag {
-            LineTag::Vm(vm) => self.delta.residence[vm.index()] -= 1,
-            LineTag::Host => self.delta.host_residence -= 1,
         }
     }
 }
@@ -660,80 +484,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
         let _ = CacheGeometry::new(3 * 64, 1);
-    }
-
-    /// The shard view must be operation-for-operation identical to the
-    /// full-cache API: same hits, same victims, same final contents and
-    /// (after the delta merge) same counters.
-    #[test]
-    fn shard_view_matches_serial_cache() {
-        let geometry = CacheGeometry::new(16 * 2 * 64, 2); // 16 sets, 2 ways
-        let mut serial = Cache::new(geometry, 3);
-        let mut sharded = Cache::new(geometry, 3);
-        let n_shards = 4;
-
-        // A deterministic op mix covering insert/access/remove with
-        // collisions (same set, different blocks) and tag replacement.
-        let blocks: Vec<u64> = (0..200).map(|i| (i * 7 + i / 3) % 64).collect();
-
-        let mut deltas = Vec::new();
-        {
-            let mut shards = sharded.shards(n_shards);
-            for (i, &b) in blocks.iter().enumerate() {
-                let block = BlockAddr::new(b);
-                let shard = (b as usize) & (n_shards - 1);
-                match i % 4 {
-                    0 | 1 => {
-                        let v_serial = serial.insert(line(b, (i % 3) as u16));
-                        let v_shard = shards[shard].insert(line(b, (i % 3) as u16));
-                        assert_eq!(
-                            v_serial.as_ref().map(|l| l.block),
-                            v_shard.as_ref().map(|l| l.block),
-                            "victim divergence at op {i}"
-                        );
-                    }
-                    2 => {
-                        assert_eq!(
-                            serial.access(block),
-                            shards[shard].access(block),
-                            "hit divergence at op {i}"
-                        );
-                    }
-                    _ => {
-                        assert_eq!(
-                            serial.remove(block).map(|l| l.block),
-                            shards[shard].remove(block).map(|l| l.block),
-                            "remove divergence at op {i}"
-                        );
-                    }
-                }
-            }
-            for shard in shards {
-                deltas.push(shard.into_delta());
-            }
-        }
-        for d in &deltas {
-            sharded.apply_delta(d);
-        }
-
-        assert_eq!(serial.stats(), sharded.stats());
-        assert_eq!(serial.occupancy(), sharded.occupancy());
-        for vm in 0..3u16 {
-            assert_eq!(
-                serial.residence(VmId::new(vm)),
-                sharded.residence(VmId::new(vm))
-            );
-        }
-        let mut a: Vec<_> = serial
-            .lines()
-            .map(|l| (l.block, l.tag, l.last_use))
-            .collect();
-        let mut b: Vec<_> = sharded
-            .lines()
-            .map(|l| (l.block, l.tag, l.last_use))
-            .collect();
-        a.sort_unstable_by_key(|&(bl, ..)| bl);
-        b.sort_unstable_by_key(|&(bl, ..)| bl);
-        assert_eq!(a, b, "cache contents (including LRU stamps) must match");
     }
 }

@@ -39,10 +39,10 @@ mod reference;
 mod table;
 
 pub use addr::{Addr, BlockAddr, BLOCKS_PER_PAGE, BLOCK_BYTES, PAGE_BYTES};
-pub use cache::{Cache, CacheDelta, CacheGeometry, CacheSet, CacheShard, CacheStats};
+pub use cache::{Cache, CacheGeometry, CacheSet, CacheStats};
 pub use line::{CacheLine, LineTag, Moesi, TokenState};
 pub use protocol::{
-    mask_cores, CacheBank, DataSource, ReadMode, ReadOutcome, ReadResult, TokenLedger, TokenMemory,
+    mask_cores, DataSource, ReadMode, ReadOutcome, ReadResult, TokenLedger, TokenMemory,
     TokenProtocol, WriteOutcome, WriteResult,
 };
 pub use reference::ReferenceProtocol;

@@ -17,55 +17,9 @@
 //! count is invariant whether or not filtering was accurate.
 
 use crate::addr::BlockAddr;
-use crate::cache::{Cache, CacheShard};
+use crate::cache::Cache;
 use crate::line::{CacheLine, LineTag, TokenState};
 use crate::table::BlockMap;
-
-/// Indexed per-core cache operations the protocol engine performs,
-/// implemented by the full per-core cache array (`[Cache]`, the serial
-/// path) and by a shard's per-core views (`[CacheShard]`, the parallel
-/// engine), so one transaction body serves both execution paths
-/// bit-identically.
-pub trait CacheBank {
-    /// `caches[core].probe(block)`.
-    fn probe(&self, core: usize, block: BlockAddr) -> Option<&CacheLine>;
-    /// `caches[core].probe_mut(block)`.
-    fn probe_mut(&mut self, core: usize, block: BlockAddr) -> Option<&mut CacheLine>;
-    /// `caches[core].remove(block)`.
-    fn remove(&mut self, core: usize, block: BlockAddr) -> Option<CacheLine>;
-    /// `caches[core].insert(line)`.
-    fn insert(&mut self, core: usize, line: CacheLine) -> Option<CacheLine>;
-}
-
-impl CacheBank for [Cache] {
-    fn probe(&self, core: usize, block: BlockAddr) -> Option<&CacheLine> {
-        self[core].probe(block)
-    }
-    fn probe_mut(&mut self, core: usize, block: BlockAddr) -> Option<&mut CacheLine> {
-        self[core].probe_mut(block)
-    }
-    fn remove(&mut self, core: usize, block: BlockAddr) -> Option<CacheLine> {
-        self[core].remove(block)
-    }
-    fn insert(&mut self, core: usize, line: CacheLine) -> Option<CacheLine> {
-        self[core].insert(line)
-    }
-}
-
-impl CacheBank for [CacheShard<'_>] {
-    fn probe(&self, core: usize, block: BlockAddr) -> Option<&CacheLine> {
-        self[core].probe(block)
-    }
-    fn probe_mut(&mut self, core: usize, block: BlockAddr) -> Option<&mut CacheLine> {
-        self[core].probe_mut(block)
-    }
-    fn remove(&mut self, core: usize, block: BlockAddr) -> Option<CacheLine> {
-        self[core].remove(block)
-    }
-    fn insert(&mut self, core: usize, line: CacheLine) -> Option<CacheLine> {
-        self[core].insert(line)
-    }
-}
 
 /// Tokens held by the memory controller, per block.
 ///
@@ -174,45 +128,6 @@ impl TokenMemory {
         debug_assert!(!(e.owner && owner), "duplicate owner token at memory");
         e.tokens += n;
         e.owner |= owner;
-    }
-
-    /// Drains this ledger into `n_banks` bank ledgers, bank `k` owning
-    /// every block with `block % n_banks == k` — the same low-bit routing
-    /// the engine shards caches by, so a shard's transactions touch
-    /// exactly one bank. Untouched blocks stay implicit: each bank shares
-    /// this ledger's `total`, so it reconstructs the same reset-state
-    /// entry on demand.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n_banks` is a power of two.
-    pub fn split(&mut self, n_banks: usize) -> Vec<TokenMemory> {
-        assert!(
-            n_banks.is_power_of_two(),
-            "bank count must be a power of two"
-        );
-        let mask = n_banks as u64 - 1;
-        let mut banks: Vec<TokenMemory> =
-            (0..n_banks).map(|_| TokenMemory::new(self.total)).collect();
-        for (b, e) in self.entries.iter() {
-            *banks[(b & mask) as usize].entries.entry_mut(b, *e) = *e;
-        }
-        self.entries.clear();
-        banks
-    }
-
-    /// Folds bank ledgers produced by [`TokenMemory::split`] back in.
-    /// Entry values move verbatim; only the hash-table slot layout can
-    /// differ from a never-split ledger, which is invisible to every
-    /// consumer (lookups are by block, and [`TokenMemory::entries`]
-    /// iteration is documented as unordered).
-    pub fn absorb(&mut self, banks: impl IntoIterator<Item = TokenMemory>) {
-        for bank in banks {
-            debug_assert_eq!(bank.total, self.total, "bank token total mismatch");
-            for (b, e) in bank.entries.iter() {
-                *self.entries.entry_mut(b, *e) = *e;
-            }
-        }
     }
 }
 
@@ -515,9 +430,9 @@ impl TokenProtocol {
     /// path, and the invariant checker plus the differential guard pin
     /// the behaviour in release builds.
     #[allow(clippy::too_many_arguments)] // mirrors the wire message's fields
-    pub fn read_miss_masked<B: CacheBank + ?Sized>(
+    pub fn read_miss_masked(
         &mut self,
-        caches: &mut B,
+        caches: &mut [Cache],
         requester: usize,
         dests: u64,
         block: BlockAddr,
@@ -531,7 +446,7 @@ impl TokenProtocol {
             "requester must not snoop itself"
         );
         debug_assert!(
-            caches.probe(requester, block).is_none(),
+            caches[requester].probe(block).is_none(),
             "read_miss on a block the requester already caches"
         );
         let snooped = dests.count_ones();
@@ -549,7 +464,7 @@ impl TokenProtocol {
         while it != 0 {
             let c = it.trailing_zeros() as usize;
             it &= it - 1;
-            if let Some(l) = caches.probe(c, block) {
+            if let Some(l) = caches[c].probe(block) {
                 if l.state.owner {
                     owner_at = Some(c);
                     break;
@@ -566,7 +481,7 @@ impl TokenProtocol {
         });
 
         let (fill, source) = if let Some(c) = holder_at {
-            let line = caches.probe_mut(c, block).expect("holder has line");
+            let line = caches[c].probe_mut(block).expect("holder has line");
             if line.state.tokens > 1 {
                 line.state.tokens -= 1;
                 // A multi-token holder hands over a plain token and keeps
@@ -575,7 +490,7 @@ impl TokenProtocol {
             } else {
                 // Last token: the whole line (ownership and dirty data, if
                 // held) transfers to the requester.
-                let line = caches.remove(c, block).expect("line present");
+                let line = caches[c].remove(block).expect("line present");
                 invalidated |= 1 << c;
                 (line.state, DataSource::Cache(c))
             }
@@ -686,9 +601,9 @@ impl TokenProtocol {
     /// ascending destination list; the self-snoop precondition is only
     /// `debug_assert`ed here (hot path — see
     /// [`TokenProtocol::read_miss_masked`]).
-    pub fn write_miss_masked<B: CacheBank + ?Sized>(
+    pub fn write_miss_masked(
         &mut self,
-        caches: &mut B,
+        caches: &mut [Cache],
         requester: usize,
         dests: u64,
         block: BlockAddr,
@@ -702,7 +617,7 @@ impl TokenProtocol {
         );
         let total = self.total_tokens();
         let snooped = dests.count_ones();
-        let existing = caches.probe(requester, block).map(|l| l.state);
+        let existing = caches[requester].probe(block).map(|l| l.state);
         let have = existing.map_or(0, |s| s.tokens);
         let had_data = existing.is_some();
 
@@ -716,7 +631,7 @@ impl TokenProtocol {
         while it != 0 {
             let c = it.trailing_zeros() as usize;
             it &= it - 1;
-            let Some(line) = caches.remove(c, block) else {
+            let Some(line) = caches[c].remove(block) else {
                 continue;
             };
             gained += line.state.tokens;
@@ -751,7 +666,7 @@ impl TokenProtocol {
                 collected_owner || existing.is_some_and(|s| s.owner),
                 "all tokens collected must include the owner token"
             );
-            caches.remove(requester, block);
+            caches[requester].remove(block);
             let (evicted, evicted_dirty) = self.fill(
                 caches,
                 requester,
@@ -785,26 +700,6 @@ impl TokenProtocol {
         }
     }
 
-    /// Splits the engine into `n_banks` bank engines for the parallel
-    /// path: bank `k` owns the ledger entries of every block with
-    /// `block % n_banks == k` (see [`TokenMemory::split`]). This engine
-    /// is left empty; fold the banks back with
-    /// [`TokenProtocol::absorb_banks`] before reading any ledger state
-    /// through it.
-    pub fn split_banks(&mut self, n_banks: usize) -> Vec<TokenProtocol> {
-        self.memory
-            .split(n_banks)
-            .into_iter()
-            .map(|memory| TokenProtocol { memory })
-            .collect()
-    }
-
-    /// Folds bank engines produced by [`TokenProtocol::split_banks`]
-    /// back into this one.
-    pub fn absorb_banks(&mut self, banks: impl IntoIterator<Item = TokenProtocol>) {
-        self.memory.absorb(banks.into_iter().map(|p| p.memory));
-    }
-
     /// Evicts `line` from wherever it was cached: its tokens (and owner
     /// token, if held) return to memory. Returns `true` if a dirty
     /// write-back was required.
@@ -833,16 +728,14 @@ impl TokenProtocol {
     }
 
     /// Fills the requester's cache, returning any displaced victim after
-    /// writing it back. The victim maps to the same set as the fill, so
-    /// under the shard engine its write-back lands in the same token
-    /// bank.
-    fn fill<B: CacheBank + ?Sized>(
+    /// writing it back.
+    fn fill(
         &mut self,
-        caches: &mut B,
+        caches: &mut [Cache],
         requester: usize,
         line: CacheLine,
     ) -> (Option<CacheLine>, bool) {
-        match caches.insert(requester, line) {
+        match caches[requester].insert(line) {
             Some(victim) => {
                 let dirty = self.writeback(&victim);
                 (Some(victim), dirty)
@@ -1164,48 +1057,6 @@ mod tests {
             true,
             tag(0),
         );
-    }
-
-    #[test]
-    fn split_banks_route_by_block_and_absorb_restores_ledger() {
-        let (mut caches, mut tp) = setup();
-        // Touch a spread of blocks so the ledger has non-reset entries.
-        for b in [0u64, 1, 2, 3, 8, 9, 130, 131] {
-            let block = BlockAddr::new(b);
-            if b % 2 == 0 {
-                read(&mut tp, &mut caches, 0, &others(0), block, true, tag(0));
-            } else {
-                tp.write_miss(&mut caches, 1, &others(1), block, true, tag(1));
-            }
-        }
-        let expected = tp.memory_entries_sorted();
-
-        let mut banks = tp.split_banks(4);
-        assert!(
-            tp.memory_entries().next().is_none(),
-            "split drains the parent ledger"
-        );
-        for (k, bank) in banks.iter().enumerate() {
-            assert_eq!(bank.total_tokens(), 4);
-            for (b, _, _) in bank.memory_entries() {
-                assert_eq!(b.index() % 4, k as u64, "bank {k} got foreign block {b:?}");
-            }
-            // Untouched blocks still read as reset state through a bank.
-            assert_eq!(bank.memory_tokens(BlockAddr::new(997)), 4);
-        }
-        // A bank serves protocol ops for its own blocks: evict core 0's
-        // copy of block 8 (bank 0) through the bank.
-        let line = *caches[0].probe(BlockAddr::new(8)).expect("cached");
-        caches[0].remove(BlockAddr::new(8));
-        banks[0].writeback(&line);
-
-        let mut restored = TokenProtocol::new(4);
-        // Rebuild: absorb into a fresh ledger, then undo the eviction so
-        // the ledger matches `expected` again.
-        restored.absorb_banks(banks);
-        let (taken, owner) = restored.memory.take(BlockAddr::new(8), line.state.tokens);
-        assert_eq!((taken, owner), (line.state.tokens, line.state.owner));
-        assert_eq!(restored.memory_entries_sorted(), expected);
     }
 
     #[test]

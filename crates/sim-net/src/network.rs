@@ -161,14 +161,6 @@ impl Network {
         &self.traffic
     }
 
-    /// Folds another network's accumulated traffic into this one's
-    /// counters (saturation flags propagate). The parallel engine merges
-    /// its per-shard traffic lenses back through this, in fixed shard
-    /// order.
-    pub fn merge_traffic(&mut self, other: &TrafficStats) {
-        self.traffic.merge(other);
-    }
-
     /// Resets traffic statistics (e.g. after warm-up). The per-node
     /// tally, if enabled, is zeroed but stays enabled.
     pub fn reset_traffic(&mut self) {

@@ -1,12 +1,10 @@
 //! Gated behind the `proptest` feature: run with `cargo test --features proptest`.
 #![cfg(feature = "proptest")]
 
-//! Property-based tests of [`TrafficStats`] sharding: the parallel
-//! engine records each shard's traffic into a private `TrafficStats`
-//! lens and folds the lenses back with [`TrafficStats::merge`], so a
-//! sharded accumulation must equal serial accumulation of the same
-//! message sequence — counters and overflow flag alike — for *any*
-//! assignment of messages to shards.
+//! Property-based tests of [`TrafficStats::merge`]: recording a message
+//! sequence split across several `TrafficStats` and merging them must
+//! equal recording the whole sequence into one — counters and overflow
+//! flag alike — for *any* assignment of messages to the parts.
 
 use proptest::prelude::*;
 use sim_net::{MessageKind, TrafficStats};

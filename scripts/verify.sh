@@ -94,20 +94,6 @@ VSNOOP_SCALE=quick ./target/release/all --jobs 1 --workers 4 --dir "$SHARD_DIR" 
 cmp "$SHARD_DIR/campaign.txt" "$CLEAN_DIR/campaign.txt"
 cmp "$SHARD_DIR/merged.jsonl" "$CLEAN_DIR/merged.jsonl"
 
-echo "==> batched-engine smoke (VSNOOP_ENGINE_WORKERS=4 vs serial byte-identity)"
-# Orthogonal to --workers (which shards *across* cells), the batched
-# engine parallelizes *inside* each eligible simulation (DESIGN.md "The
-# batched parallel engine"). Its contract is bit-identical output at
-# any worker count, so the whole campaign — every artifact, eligible
-# and fallback cells alike — must match the serial CLEAN_DIR run byte
-# for byte with 4 engine workers forced on.
-ENGINE_DIR=target/campaign/verify-engine
-rm -rf "$ENGINE_DIR"
-VSNOOP_SCALE=quick VSNOOP_ENGINE_WORKERS=4 ./target/release/all \
-  --jobs 1 --workers 1 --dir "$ENGINE_DIR" > /dev/null 2>&1
-cmp "$ENGINE_DIR/campaign.txt" "$CLEAN_DIR/campaign.txt"
-cmp "$ENGINE_DIR/merged.jsonl" "$CLEAN_DIR/merged.jsonl"
-
 echo "==> observability smoke (tracing on, stdout byte-identical)"
 # The whole observability layer writes to side files only: a traced
 # campaign's stdout and artifacts must be byte-identical to the
