@@ -18,9 +18,9 @@
 //!   isolating checker overhead from protocol/network cost.
 //! * `storm_traced` — the storm with the observability layer forced on
 //!   (flight recorder + telemetry to `target/perf-trace/`), isolating
-//!   tracing overhead. It has no entry in the committed baseline, so
-//!   `--check` never gates on it; compare it against `storm` in the
-//!   same run instead.
+//!   tracing overhead. Its spec is marked non-gating, so `--check`
+//!   skips it even though the committed baseline records it; compare it
+//!   against `storm` in the same run instead.
 //! * `storm_clean` — the storm machine and 0.1 ms migration storm, but
 //!   fault-free, checker off, vsnoop-base: the filtered path under
 //!   migration, without fault handling or checking.
@@ -271,6 +271,7 @@ enum Drive {
     },
 }
 
+#[derive(Clone, Copy)]
 struct BinSpec {
     name: &'static str,
     policy: FilterPolicy,
@@ -279,6 +280,9 @@ struct BinSpec {
     /// Force the observability layer on for this bin (trace files under
     /// `target/perf-trace/`), so its throughput measures the hooks' cost.
     traced: bool,
+    /// Whether `--check` fails the run when this bin falls below its
+    /// baseline entry. Non-gating bins are still measured and written.
+    gating: bool,
     drive: Drive,
 }
 
@@ -292,6 +296,7 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: true,
             traced: false,
+            gating: true,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -303,6 +308,7 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -314,6 +320,7 @@ fn bins() -> Vec<BinSpec> {
             faults: true,
             checker: true,
             traced: true,
+            gating: false,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -325,6 +332,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Migration {
                 period_cycles: storm_period,
                 seed: 0x51A9,
@@ -336,6 +344,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Plain,
         },
         BinSpec {
@@ -344,6 +353,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Plain,
         },
         BinSpec {
@@ -352,6 +362,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Campaign { reuse: true },
         },
         BinSpec {
@@ -360,6 +371,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Campaign { reuse: false },
         },
         BinSpec {
@@ -368,6 +380,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Service { conns: false },
         },
         BinSpec {
@@ -376,6 +389,7 @@ fn bins() -> Vec<BinSpec> {
             faults: false,
             checker: false,
             traced: false,
+            gating: true,
             drive: Drive::Service { conns: true },
         },
     ]
@@ -713,20 +727,18 @@ fn report_json(results: &[BinResult], rounds: u64, reps: u32) -> Value {
     Value::obj(fields)
 }
 
-/// Compares `current` against a baseline file; returns the list of bins
-/// whose steps/sec regressed beyond `tolerance_pct`, or whose p99
-/// latency grew past the baseline's `p99_ms` by more than
+/// Compares `current` against a parsed baseline; returns the list of
+/// gating bins whose steps/sec regressed beyond `tolerance_pct`, or
+/// whose p99 latency grew past the baseline's `p99_ms` by more than
 /// `tolerance_pct` (latency gating only applies to bins whose baseline
-/// entry records a `p99_ms` — the service bins).
+/// entry records a `p99_ms` — the service bins). Bins whose spec is
+/// marked non-gating are skipped even when the baseline lists them.
 fn check_regressions(
     current: &[BinResult],
-    baseline_path: &PathBuf,
+    specs: &[BinSpec],
+    baseline: &Value,
     tolerance_pct: f64,
 ) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-    let baseline =
-        Value::parse(&text).map_err(|e| format!("parsing {}: {e}", baseline_path.display()))?;
     let bins = baseline
         .get("bins")
         .ok_or("baseline has no \"bins\" array")?;
@@ -735,6 +747,9 @@ fn check_regressions(
     };
     let mut failures = Vec::new();
     for r in current {
+        if specs.iter().any(|s| s.name == r.name && !s.gating) {
+            continue;
+        }
         let Some(base) = bins
             .iter()
             .find(|b| b.get("name").and_then(Value::as_str) == Some(r.name))
@@ -763,6 +778,12 @@ fn check_regressions(
         }
     }
     Ok(failures)
+}
+
+fn read_baseline(path: &PathBuf) -> Result<Value, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    Value::parse(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {
@@ -805,23 +826,10 @@ fn main() -> ExitCode {
                 ("warmup", Value::UInt(cli.warmup)),
                 ("reps", Value::UInt(u64::from(cli.reps))),
             ]);
-            let name = spec.name;
-            let policy = spec.policy;
-            let faults = spec.faults;
-            let checker = spec.checker;
-            let traced = spec.traced;
-            let drive = spec.drive;
+            let spec = *spec;
             let (rounds, warmup, reps) = (cli.rounds, cli.warmup, cli.reps);
             let sink = Arc::clone(&results);
-            Job::new(name, seed, params, move |_ctx| {
-                let spec = BinSpec {
-                    name,
-                    policy,
-                    faults,
-                    checker,
-                    traced,
-                    drive,
-                };
+            Job::new(spec.name, seed, params, move |_ctx| {
                 let r = run_bin(&spec, rounds, warmup, reps, seed);
                 let line = format!(
                     "{:<16} {:>12.0} steps/s  {:>9.0} rounds/s  ({} rounds x {} reps)\n",
@@ -886,7 +894,9 @@ fn main() -> ExitCode {
     }
 
     if let Some(baseline) = &cli.check {
-        match check_regressions(&results, baseline, cli.tolerance_pct) {
+        let checked = read_baseline(baseline)
+            .and_then(|base| check_regressions(&results, &specs, &base, cli.tolerance_pct));
+        match checked {
             Ok(failures) if failures.is_empty() => {
                 eprintln!(
                     "[perf] no regression vs {} (tolerance {}%)",
@@ -907,4 +917,42 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn result(name: &'static str, steps_per_sec: f64) -> BinResult {
+        BinResult {
+            name,
+            rounds: 1,
+            reps: 1,
+            steps: 1,
+            best_elapsed_s: 1.0,
+            steps_per_sec,
+            rounds_per_sec: steps_per_sec,
+            rss_delta_bytes: 0,
+            p99_ms: None,
+        }
+    }
+
+    #[test]
+    fn only_gating_bins_fail_the_check() {
+        let baseline = Value::parse(
+            r#"{"bins":[{"name":"storm","steps_per_sec":1000.0},
+                        {"name":"storm_traced","steps_per_sec":1000.0}]}"#,
+        )
+        .unwrap();
+        let specs = bins();
+        let slow = [result("storm", 100.0), result("storm_traced", 100.0)];
+        let failures = check_regressions(&slow, &specs, &baseline, 20.0).unwrap();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].starts_with("storm: "), "{failures:?}");
+
+        let fine = [result("storm", 900.0), result("storm_traced", 100.0)];
+        assert!(check_regressions(&fine, &specs, &baseline, 20.0)
+            .unwrap()
+            .is_empty());
+    }
 }

@@ -6,6 +6,7 @@
 //! reproduces that machine; the fields are public so experiments can scale
 //! it (e.g. the 64-core projection of Fig. 2).
 
+use sim_mem::CacheGeometry;
 use sim_net::LatencyModel;
 
 /// Full configuration of the simulated machine.
@@ -130,6 +131,19 @@ impl SystemConfig {
         if self.cycles_per_access == 0 || self.cycles_per_ms == 0 {
             return Err(ConfigError::new("clock rates must be positive"));
         }
+        if self.tlb_slots == 0 || !self.tlb_slots.is_power_of_two() {
+            return Err(ConfigError::new(format!(
+                "TLB slot count must be a positive power of two (got {})",
+                self.tlb_slots
+            )));
+        }
+        for (level, bytes, ways) in [
+            ("L1", self.l1_bytes, self.l1_ways),
+            ("L2", self.l2_bytes, self.l2_ways),
+        ] {
+            CacheGeometry::try_new(bytes, ways)
+                .map_err(|msg| ConfigError::new(format!("{level}: {msg}")))?;
+        }
         if self.l1_bytes >= self.l2_bytes {
             return Err(ConfigError::new("L1 must be smaller than L2"));
         }
@@ -236,5 +250,81 @@ mod tests {
             msg.contains("9x8 = 72"),
             "message must name the shape: {msg}"
         );
+    }
+
+    fn error(c: SystemConfig) -> String {
+        c.validate().unwrap_err().to_string()
+    }
+
+    #[test]
+    fn validation_rejects_zero_tlb_slots() {
+        let c = SystemConfig {
+            tlb_slots: 0,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("TLB slot count must be a positive power of two (got 0)"));
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_tlb_slots() {
+        let c = SystemConfig {
+            tlb_slots: 48,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("(got 48)"));
+    }
+
+    #[test]
+    fn validation_rejects_cache_sizes_off_the_line_grid() {
+        // 32 KB + 64 B is not a multiple of 4 ways x 64 B.
+        let c = SystemConfig {
+            l1_bytes: 32 * 1024 + 64,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("L1: capacity must be a positive multiple"));
+        let c = SystemConfig {
+            l2_bytes: 0,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("L2: capacity must be a positive multiple"));
+        let c = SystemConfig {
+            l1_ways: 0,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("L1: associativity must be positive"));
+    }
+
+    #[test]
+    fn validation_rejects_non_power_of_two_set_counts() {
+        // 3 x 64 KB over 8 ways of 64 B lines is 384 sets.
+        let c = SystemConfig {
+            l2_bytes: 3 * 64 * 1024,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("L2: set count must be a power of two (got 384)"));
+        let c = SystemConfig {
+            l1_bytes: 24 * 1024,
+            ..SystemConfig::paper_default()
+        };
+        assert!(error(c).contains("L1: set count must be a power of two (got 96)"));
+    }
+
+    #[test]
+    fn try_new_reports_bad_geometry_instead_of_panicking() {
+        use crate::{ContentPolicy, FilterPolicy, SimError, Simulator};
+        let rejected = |c: SystemConfig| {
+            matches!(
+                Simulator::try_new(c, FilterPolicy::TokenBroadcast, ContentPolicy::Broadcast),
+                Err(SimError::InvalidConfig(_))
+            )
+        };
+        assert!(rejected(SystemConfig {
+            tlb_slots: 0,
+            ..SystemConfig::small_test()
+        }));
+        assert!(rejected(SystemConfig {
+            l2_bytes: 12 * 1024,
+            ..SystemConfig::small_test()
+        }));
     }
 }

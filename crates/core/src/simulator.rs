@@ -1532,9 +1532,6 @@ impl Simulator {
             MessageKind::TokenReply
         };
         self.net.to_memory(NodeId::new(c as u16), kind);
-        if let LineTag::Vm(vm) = victim.tag {
-            let _ = vm;
-        }
         self.check_pending_removals(c);
     }
 

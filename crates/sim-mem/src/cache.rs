@@ -44,22 +44,39 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics unless `bytes` is a positive multiple of
-    /// `ways * BLOCK_BYTES` and the resulting set count is a power of two.
+    /// Panics with [`CacheGeometry::try_new`]'s message if the size and
+    /// associativity do not form a geometry.
     pub fn new(bytes: u64, ways: usize) -> Self {
-        assert!(ways > 0, "associativity must be positive");
+        Self::try_new(bytes, ways).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// Like [`CacheGeometry::new`], but reports a bad size as an error.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the violated constraint unless `ways` is
+    /// positive, `bytes` is a positive multiple of `ways * BLOCK_BYTES`,
+    /// and the resulting set count is a power of two.
+    pub fn try_new(bytes: u64, ways: usize) -> Result<Self, String> {
+        if ways == 0 {
+            return Err("associativity must be positive".into());
+        }
         let line_bytes = ways as u64 * BLOCK_BYTES;
-        assert!(
-            bytes > 0 && bytes.is_multiple_of(line_bytes),
-            "capacity must be a positive multiple of ways * block size"
-        );
+        if bytes == 0 || !bytes.is_multiple_of(line_bytes) {
+            return Err(format!(
+                "capacity must be a positive multiple of ways * block size \
+                 (got {bytes} B, {ways} ways)"
+            ));
+        }
         let sets = bytes / line_bytes;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
-        CacheGeometry {
+        if !sets.is_power_of_two() {
+            return Err(format!("set count must be a power of two (got {sets})"));
+        }
+        Ok(CacheGeometry {
             bytes,
             ways,
             set_mask: sets - 1,
-        }
+        })
     }
 
     /// Total capacity in bytes.

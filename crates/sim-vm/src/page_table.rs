@@ -13,8 +13,6 @@
 //! [`TypeTlb`] models the per-core cached copy consulted on every coherence
 //! transaction.
 
-use std::collections::HashMap;
-
 use crate::ids::VmId;
 
 /// The sharing type of a host-physical page, as virtual snooping
@@ -65,6 +63,11 @@ impl SharingType {
 /// Pages that were never registered default to [`SharingType::VmPrivate`]
 /// with no recorded owner; experiments always register the pools they use.
 ///
+/// Entries live in a flat table indexed by host page number, so a lookup
+/// is one bounds check and one load. This relies on pages being dense
+/// from 0, as [`MemoryMap`](crate::MemoryMap)'s bump allocator hands them
+/// out: registering page `p` grows the table to `p + 1` slots.
+///
 /// # Examples
 ///
 /// ```
@@ -80,7 +83,10 @@ impl SharingType {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SharingDirectory {
-    entries: HashMap<u64, PageInfo>,
+    /// Slot `p` holds page `p`'s entry, `None` if it was never registered.
+    entries: Vec<Option<PageInfo>>,
+    /// Number of `Some` slots.
+    registered: usize,
     /// Monotonic version, bumped on every mutation; TLBs use it to discard
     /// stale cached types (modelling the TLB shoot-down the hypervisor must
     /// perform when it changes a page's sharing bits).
@@ -102,21 +108,32 @@ impl SharingDirectory {
     /// Registers (or re-registers) a page with a sharing type and an
     /// optional owning VM.
     pub fn register(&mut self, page: u64, sharing: SharingType, owner: Option<VmId>) {
-        self.entries.insert(page, PageInfo { sharing, owner });
+        let idx = page as usize;
+        if idx >= self.entries.len() {
+            self.entries.resize(idx + 1, None);
+        }
+        let slot = &mut self.entries[idx];
+        if slot.is_none() {
+            self.registered += 1;
+        }
+        *slot = Some(PageInfo { sharing, owner });
         self.version += 1;
+    }
+
+    fn entry(&self, page: u64) -> Option<PageInfo> {
+        self.entries.get(page as usize).copied().flatten()
     }
 
     /// Returns the sharing type of `page` (default: VM-private).
     pub fn sharing(&self, page: u64) -> SharingType {
-        self.entries
-            .get(&page)
+        self.entry(page)
             .map_or(SharingType::default(), |e| e.sharing)
     }
 
     /// Returns the VM recorded as owner of `page`, if any. Shared pages
     /// have no single owner.
     pub fn owner(&self, page: u64) -> Option<VmId> {
-        self.entries.get(&page).and_then(|e| e.owner)
+        self.entry(page).and_then(|e| e.owner)
     }
 
     /// Returns the current mutation version (used for TLB invalidation).
@@ -124,14 +141,14 @@ impl SharingDirectory {
         self.version
     }
 
-    /// Returns the number of registered pages.
+    /// Returns the number of distinct registered pages.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.registered
     }
 
     /// Returns `true` if no page has been registered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.registered == 0
     }
 }
 
@@ -165,6 +182,8 @@ impl TlbStats {
 #[derive(Clone, Debug)]
 pub struct TypeTlb {
     slots: Vec<Option<TlbEntry>>,
+    /// `slots.len() - 1`; the slot count is a power of two.
+    index_mask: usize,
     seen_version: u64,
     stats: TlbStats,
 }
@@ -180,11 +199,16 @@ impl TypeTlb {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is zero.
+    /// Panics if `slots` is zero or not a power of two.
     pub fn new(slots: usize) -> Self {
         assert!(slots > 0, "TLB needs at least one slot");
+        assert!(
+            slots.is_power_of_two(),
+            "TLB slot count must be a power of two (got {slots})"
+        );
         TypeTlb {
             slots: vec![None; slots],
+            index_mask: slots - 1,
             seen_version: 0,
             stats: TlbStats::default(),
         }
@@ -199,7 +223,7 @@ impl TypeTlb {
             self.slots.iter_mut().for_each(|s| *s = None);
             self.seen_version = dir.version();
         }
-        let idx = (page as usize) % self.slots.len();
+        let idx = page as usize & self.index_mask;
         if let Some(e) = self.slots[idx] {
             if e.page == page {
                 self.stats.hits += 1;
@@ -295,5 +319,52 @@ mod tests {
     #[should_panic(expected = "at least one slot")]
     fn zero_slot_tlb_rejected() {
         let _ = TypeTlb::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two (got 48)")]
+    fn non_power_of_two_tlb_rejected() {
+        let _ = TypeTlb::new(48);
+    }
+
+    #[test]
+    fn directory_len_counts_distinct_pages() {
+        let mut dir = SharingDirectory::new();
+        dir.register(5, SharingType::VmPrivate, Some(VmId::new(0)));
+        dir.register(2, SharingType::RwShared, None);
+        dir.register(5, SharingType::RoShared, None);
+        dir.register(2, SharingType::VmPrivate, Some(VmId::new(1)));
+        // Slots 0, 1, 3 and 4 exist in the table but were never registered.
+        assert_eq!(dir.len(), 2);
+        assert!(!dir.is_empty());
+        assert_eq!(dir.owner(0), None);
+        assert_eq!(dir.sharing(3), SharingType::VmPrivate);
+    }
+
+    #[test]
+    fn lookups_past_the_last_page_use_defaults() {
+        let mut dir = SharingDirectory::new();
+        dir.register(9, SharingType::RwShared, None);
+        for page in [10, 11, 1 << 20, u64::MAX] {
+            assert_eq!(dir.sharing(page), SharingType::VmPrivate);
+            assert_eq!(dir.owner(page), None);
+        }
+    }
+
+    #[test]
+    fn cloned_directory_is_independent() {
+        let mut dir = SharingDirectory::new();
+        dir.register(1, SharingType::VmPrivate, Some(VmId::new(2)));
+        let mut copy = dir.clone();
+        copy.register(1, SharingType::RoShared, None);
+        copy.register(4, SharingType::RwShared, None);
+        assert_eq!(dir.sharing(1), SharingType::VmPrivate);
+        assert_eq!(dir.owner(1), Some(VmId::new(2)));
+        assert_eq!(dir.sharing(4), SharingType::VmPrivate);
+        assert_eq!(dir.len(), 1);
+        assert_eq!(copy.len(), 2);
+        assert!(copy.version() > dir.version());
+        dir.register(7, SharingType::RwShared, None);
+        assert_eq!(copy.sharing(7), SharingType::VmPrivate);
     }
 }

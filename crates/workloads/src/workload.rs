@@ -78,6 +78,16 @@ struct VmPools {
     content_zipf: ZipfSampler,
 }
 
+/// A vCPU's in-flight reuse burst: the address being re-touched, the store
+/// probability of its class, and how many repeats remain. `left == 0`
+/// means no burst is in flight.
+#[derive(Clone, Copy, Default)]
+struct Burst {
+    addr: u64,
+    write_frac: f64,
+    left: u64,
+}
+
 /// A running workload: memory layout, sharing state, and access generator.
 ///
 /// # Examples
@@ -109,9 +119,9 @@ pub struct Workload {
     dom0_pool: PageRange,
     hyp_cursor: u64,
     dom0_cursor: u64,
-    /// Per-vCPU in-flight reuse burst: the address being re-touched, the
-    /// store probability of its class, and how many repeats remain.
-    bursts: std::collections::HashMap<VcpuId, (u64, f64, u64)>,
+    /// Per-vCPU in-flight reuse burst, indexed by
+    /// `vm * vcpus_per_vm + vcpu`.
+    bursts: Vec<Burst>,
     rng: SmallRng,
 }
 
@@ -190,6 +200,7 @@ impl Workload {
             content.scan(&mut dir);
         }
 
+        let bursts = vec![Burst::default(); profiles.len() * usize::from(cfg.vcpus_per_vm)];
         Workload {
             profiles,
             cfg,
@@ -201,7 +212,7 @@ impl Workload {
             dom0_pool,
             hyp_cursor: 0,
             dom0_cursor: 0,
-            bursts: std::collections::HashMap::new(),
+            bursts,
             rng: SmallRng::seed_from_u64(cfg.seed),
         }
     }
@@ -274,22 +285,33 @@ impl Workload {
 }
 
 impl AccessStream for Workload {
+    /// # Panics
+    ///
+    /// Panics if `vcpu`'s VM is out of range or its index is not below
+    /// [`Workload::vcpus_per_vm`].
     fn next_access(&mut self, vcpu: VcpuId) -> TraceAccess {
         let vm = vcpu.vm();
         let p = self.profiles[vm.index()].trace;
+        let per_vm = usize::from(self.cfg.vcpus_per_vm);
+        assert!(
+            vcpu.index() < per_vm,
+            "vCPU index {} out of range: the workload has {per_vm} vCPUs per VM",
+            vcpu.index()
+        );
+        let slot = vm.index() * per_vm + vcpu.index();
 
         // Temporal locality: finish the in-flight burst before drawing a
         // fresh block. Repeats re-roll the store flag so bursts exercise
         // both load and store paths.
-        if let Some(&(addr, wf, left)) = self.bursts.get(&vcpu) {
-            if left > 0 {
-                self.bursts.insert(vcpu, (addr, wf, left - 1));
-                return TraceAccess {
-                    agent: Agent::Guest(vcpu),
-                    addr,
-                    write: self.rng.gen::<f64>() < wf,
-                };
-            }
+        let burst = &mut self.bursts[slot];
+        if burst.left > 0 {
+            burst.left -= 1;
+            let (addr, write_frac) = (burst.addr, burst.write_frac);
+            return TraceAccess {
+                agent: Agent::Guest(vcpu),
+                addr,
+                write: self.rng.gen::<f64>() < write_frac,
+            };
         }
 
         if self.cfg.host_activity {
@@ -357,8 +379,11 @@ impl AccessStream for Workload {
         let block = self.rng.gen_range(0..BLOCKS_PER_PAGE);
         let addr = page * PAGE_BYTES + block * BLOCK_BYTES;
         if p.reuse_burst > 1 {
-            self.bursts
-                .insert(vcpu, (addr, class_wf, p.reuse_burst - 1));
+            self.bursts[slot] = Burst {
+                addr,
+                write_frac: class_wf,
+                left: p.reuse_burst - 1,
+            };
         }
         TraceAccess {
             agent: Agent::Guest(vcpu),
@@ -542,6 +567,14 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    #[should_panic(expected = "vCPU index 4 out of range: the workload has 4 vCPUs per VM")]
+    fn vcpu_index_past_the_vm_is_rejected() {
+        let mut wl = Workload::homogeneous(profile("fft").unwrap(), 2, WorkloadConfig::default());
+        // Without the check this would address VM 1's first chunk.
+        let _ = wl.next_access(vcpu(0, 4));
     }
 
     #[test]
